@@ -4,7 +4,11 @@
 //! repro table2                 Table 2   benchmark characteristics
 //! repro figure6                Figure 6  robust subsets via Algorithm 2 (type-II cycles)
 //! repro figure7                Figure 7  robust subsets via type-I cycles (Alomari & Fekete)
-//! repro figure8 [--max N]      Figure 8  Auction(n) scalability sweep (10 repetitions)
+//! repro figure8 [--max N] [--out P]
+//!                              Figure 8  Auction(n) scalability sweep for n = 5..N
+//!                              (default 100, the paper's range; 10 repetitions) with
+//!                              per-phase columns: unfold, construct, CSR, closure, type-II;
+//!                              with --out, the rows are also written to P as JSON
 //! repro figure4                Figure 4  summary graph of the Auction example (DOT)
 //! repro graphs                 Figures 11/18: DOT summary graphs for SmallBank and TPC-C
 //! repro smallbank-ground-truth Section 7.2: confirm non-robust SmallBank subsets with concrete
@@ -26,7 +30,7 @@
 //!                              an executed MVRC history rejected by the independent
 //!                              serializability checker, written to BENCH_certify.json (or P);
 //!                              exits non-zero if any subset resists certification
-//! repro all                    everything above (figure8 capped at n = 50)
+//! repro all                    everything above (figure8 up to --max, default n = 100)
 //! ```
 //!
 //! Add `--json` to emit machine-readable output for `table2`, `figure6`, `figure7` and
@@ -53,7 +57,7 @@ fn main() {
         .position(|a| a == "--max")
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(50);
+        .unwrap_or(100);
     let out_override = args
         .iter()
         .position(|a| a == "--out")
@@ -71,7 +75,9 @@ fn main() {
     let serve_out_path = out_override
         .clone()
         .unwrap_or_else(|| "BENCH_serve.json".to_string());
-    let certify_out_path = out_override.unwrap_or_else(|| "BENCH_certify.json".to_string());
+    let certify_out_path = out_override
+        .clone()
+        .unwrap_or_else(|| "BENCH_certify.json".to_string());
     if let Some(i) = args.iter().position(|a| a == "--threads") {
         let Some(threads) = args
             .get(i + 1)
@@ -92,7 +98,7 @@ fn main() {
         "table2" => print_table2(json),
         "figure6" => print_figure6(json),
         "figure7" => print_figure7(json),
-        "figure8" => print_figure8(max_n, json),
+        "figure8" => print_figure8(max_n, json, out_override.as_deref()),
         "figure4" => print_figure4(),
         "graphs" => print_graphs(),
         "smallbank-ground-truth" => smallbank_ground_truth(),
@@ -105,7 +111,7 @@ fn main() {
             print_table2(json);
             print_figure6(json);
             print_figure7(json);
-            print_figure8(max_n, json);
+            print_figure8(max_n, json, None);
             print_figure4();
             smallbank_ground_truth();
             bench_subsets(&out_path);
@@ -167,37 +173,60 @@ fn print_figure7(json: bool) {
     println!();
 }
 
-fn print_figure8(max_n: usize, json: bool) {
+fn print_figure8(max_n: usize, json: bool, out_path: Option<&str>) {
     let ns: Vec<usize> = [5usize, 10, 20, 30, 40, 50, 75, 100]
         .into_iter()
         .filter(|&n| n <= max_n)
         .collect();
     let rows = figure8(&ns, 10);
+    let payload = serde_json::to_string_pretty(&rows).expect("serializable rows");
     if json {
+        println!("{payload}");
+    } else {
+        println!("== Figure 8: Auction(n) scalability (10 repetitions, mean ± 95% CI) ==");
         println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serializable rows")
+            "  {:>5} {:>7} {:>10} {:>9} {:>17}  {:>7} {:>9} {:>7} {:>8} {:>8}",
+            "n",
+            "nodes",
+            "edges",
+            "cf edges",
+            "time [ms]",
+            "unfold",
+            "construct",
+            "CSR",
+            "closure",
+            "type-II"
         );
-        return;
+        for row in &rows {
+            println!(
+                "  {:>5} {:>7} {:>10} {:>9} {:>9.2} ± {:>5.2}  {:>7.2} {:>9.2} {:>7.2} {:>8.2} {:>8.2}   robust={}",
+                row.n,
+                row.nodes,
+                row.edges,
+                row.counterflow_edges,
+                row.mean_ms,
+                row.ci95_ms,
+                row.unfold_ms,
+                row.construct_ms,
+                row.csr_ms,
+                row.closure_ms,
+                row.type2_ms,
+                row.robust
+            );
+        }
     }
-    println!("== Figure 8: Auction(n) scalability (10 repetitions, mean ± 95% CI) ==");
-    println!(
-        "  {:>5} {:>7} {:>10} {:>12} {:>16}",
-        "n", "nodes", "edges", "cf edges", "time [ms]"
-    );
-    for row in &rows {
-        println!(
-            "  {:>5} {:>7} {:>10} {:>12} {:>10.2} ± {:.2}   robust={}",
-            row.n,
-            row.nodes,
-            row.edges,
-            row.counterflow_edges,
-            row.mean_ms,
-            row.ci95_ms,
-            row.robust
-        );
+    if let Some(out_path) = out_path {
+        match std::fs::write(out_path, &payload) {
+            Ok(()) => eprintln!("  wrote {out_path}"),
+            Err(e) => {
+                eprintln!("  could not write {out_path}: {e}");
+                std::process::exit(1);
+            }
+        }
     }
-    println!();
+    if !json {
+        println!();
+    }
 }
 
 fn print_figure4() {

@@ -3,6 +3,7 @@
 use mvrc_benchmarks::{auction, auction_n, smallbank, tpcc, Workload};
 use mvrc_robustness::{explore_subsets, AnalysisSettings, CycleCondition, RobustnessSession};
 use serde::Serialize;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// One cell of Figure 6 / Figure 7: a benchmark, a setting, and the maximal robust subsets it
@@ -65,6 +66,19 @@ pub struct Figure8Row {
     pub mean_ms: f64,
     /// Half-width of the 95% confidence interval of the mean, in milliseconds.
     pub ci95_ms: f64,
+    /// Mean time of unfolding the BTPs into a session (`RobustnessSession::new`), in
+    /// milliseconds.
+    pub unfold_ms: f64,
+    /// Mean time of Algorithm 1's edge derivation (`RobustnessSession::graph`), in
+    /// milliseconds.
+    pub construct_ms: f64,
+    /// Mean time of building the out- and in-adjacency CSR arrays, in milliseconds.
+    pub csr_ms: f64,
+    /// Mean time of the reachability closure, in milliseconds.
+    pub closure_ms: f64,
+    /// Mean time of Algorithm 2 (`find_type2_violation`) on the prepared graph, in
+    /// milliseconds.
+    pub type2_ms: f64,
     /// Number of repetitions.
     pub repetitions: usize,
 }
@@ -74,6 +88,11 @@ pub struct Figure8Row {
 /// The paper repeats each measurement 10 times and reports mean and 95% confidence interval; we
 /// do the same. Absolute numbers depend on the machine — the claims being reproduced are the
 /// quadratic edge growth and that even hundreds of programs verify in seconds.
+///
+/// Each repetition also times its phases one after the other — unfold, construct, CSR,
+/// closure, type-II — around the same public calls the repository benchmark's traced
+/// Auction(100) check wraps. The derived arrays are forced one layer at a time before
+/// Algorithm 2 runs, so its column holds the cycle test alone.
 pub fn figure8(ns: &[usize], repetitions: usize) -> Vec<Figure8Row> {
     assert!(
         repetitions >= 2,
@@ -83,23 +102,41 @@ pub fn figure8(ns: &[usize], repetitions: usize) -> Vec<Figure8Row> {
         .map(|&n| {
             let workload = auction_n(n);
             let mut durations_ms = Vec::with_capacity(repetitions);
+            let mut phase_sums_ms = [0.0f64; 5];
             let mut nodes = 0;
             let mut edges = 0;
             let mut counterflow = 0;
             let mut robust = false;
             for _ in 0..repetitions {
-                let start = Instant::now();
                 // The measured quantity is the full pipeline on the BTP workload, as in the
                 // paper: unfold, build the summary graph, run Algorithm 2. A fresh session per
                 // repetition keeps the construction inside the measurement.
-                let session = RobustnessSession::new(workload.clone());
+                let start = Instant::now();
+                let workload = workload.clone();
+                let mut last = Instant::now();
+                let mut lap = |phase: usize| {
+                    let now = Instant::now();
+                    phase_sums_ms[phase] += (now - last).as_secs_f64() * 1e3;
+                    last = now;
+                };
+                let session = RobustnessSession::new(workload);
+                lap(0);
                 let graph = session.graph(AnalysisSettings::paper_default());
+                lap(1);
+                black_box(graph.out_adjacency());
+                black_box(graph.in_adjacency());
+                lap(2);
+                black_box(graph.reachability_words());
+                lap(3);
                 robust = mvrc_robustness::find_type2_violation(&graph).is_none();
+                lap(4);
                 durations_ms.push(start.elapsed().as_secs_f64() * 1e3);
                 nodes = graph.node_count();
                 edges = graph.edge_count();
                 counterflow = graph.counterflow_edge_count();
             }
+            let [unfold_ms, construct_ms, csr_ms, closure_ms, type2_ms] =
+                phase_sums_ms.map(|sum| sum / repetitions as f64);
             let (mean, ci95) = mean_and_ci95(&durations_ms);
             Figure8Row {
                 n,
@@ -109,6 +146,11 @@ pub fn figure8(ns: &[usize], repetitions: usize) -> Vec<Figure8Row> {
                 robust,
                 mean_ms: mean,
                 ci95_ms: ci95,
+                unfold_ms,
+                construct_ms,
+                csr_ms,
+                closure_ms,
+                type2_ms,
                 repetitions,
             }
         })
@@ -181,6 +223,16 @@ mod tests {
             assert_eq!(row.counterflow_edges, row.n);
             assert!(row.mean_ms >= 0.0);
             assert!(row.ci95_ms >= 0.0);
+            // The phases are consecutive sub-intervals of each repetition.
+            let phases = [
+                row.unfold_ms,
+                row.construct_ms,
+                row.csr_ms,
+                row.closure_ms,
+                row.type2_ms,
+            ];
+            assert!(phases.iter().all(|&p| p >= 0.0));
+            assert!(phases.iter().sum::<f64>() <= row.mean_ms * (1.0 + 1e-9));
         }
     }
 

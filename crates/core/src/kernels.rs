@@ -71,6 +71,21 @@ pub(crate) fn test_bit(words: &[u64], bit: usize) -> bool {
     words[bit / 64] & (1u64 << (bit % 64)) != 0
 }
 
+/// The indices of the set bits of a bitset, ascending.
+#[inline]
+pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(i, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                i * 64 + bit
+            })
+        })
+    })
+}
+
 #[inline]
 pub(crate) fn set_bit(words: &mut [u64], bit: usize) {
     words[bit / 64] |= 1u64 << (bit % 64);
@@ -98,7 +113,9 @@ pub(crate) struct LanePlan {
     pub(crate) edge_pairs: Vec<(u32, u32)>,
     /// Deduplicated counterflow `(from, to)` node pairs: the type-I cycle tests.
     pub(crate) cf_pairs: Vec<(u32, u32)>,
-    /// Deduplicated non-counterflow `(P_1, P_2)` node pairs: the type-II closing-set sources.
+    /// Deduplicated non-counterflow `(P_1, P_2)` node pairs, sorted, so the pairs of one
+    /// `P_1` are contiguous: the first closing-set pass ORs each `P_1`'s successor rows into
+    /// one `nc_close[P_1]` row.
     pub(crate) nc_pairs: Vec<(u32, u32)>,
     /// Sorted, deduplicated counterflow targets — the candidate `P_5` nodes, one closing-set
     /// row each.
@@ -124,8 +141,8 @@ pub(crate) struct LaneType2Group {
 }
 
 /// Reusable lane-kernel temporaries: the membership words the caller fills per batch, plus the
-/// reachability and closing-set matrices [`sweep_lanes`] rebuilds from them. Lives in the
-/// per-worker sweep scratch so batches perform no steady-state allocation.
+/// reachability, `nc_close` and closing-set matrices [`sweep_lanes`] rebuilds from them.
+/// Lives in the per-worker sweep scratch so batches perform no steady-state allocation.
 #[derive(Debug, Default)]
 pub(crate) struct LaneScratch {
     /// Membership words, one per graph node: bit `i` ⇔ the node's program is in subset `i`.
@@ -134,6 +151,11 @@ pub(crate) struct LaneScratch {
     /// `reach[u·n + v]` ⇔ `u` and `v` are lane-`i` members and `v` is reachable from `u`
     /// through lane-`i` members only.
     reach: Vec<u64>,
+    /// The non-counterflow sources `P_1` that are a member in some lane, in `nc_close` order.
+    nc_sources: Vec<u32>,
+    /// One `universe`-word row per entry of `nc_sources`: the lane-masked union of the reach
+    /// rows of its non-counterflow successors.
+    nc_close: Vec<u64>,
     /// Closing-set rows, one `universe`-word row per candidate `P_5`.
     close: Vec<u64>,
 }
@@ -144,16 +166,25 @@ pub(crate) struct LaneScratch {
 /// `scratch.member` holds the membership words (bits outside `batch` must be zero). The
 /// verdicts are exactly those of the scalar per-subset cycle tests: the reachability fixpoint
 /// mirrors induced-view closure per lane, and the type-II formulas below are the lane-masked
-/// transcription of `find_type2_violation_in` — `close[P_5]` accumulates, per lane, the
-/// reach rows of every non-counterflow pair `(P_1, P_2)` whose `P_1` is reachable from `P_5`,
-/// and a lane is violated when some pair-condition group finds its `P_3` bit set with `P_4`
-/// a member. Witness *choice* may differ from the scalar search order; witness *existence*
-/// (all the sweep records) cannot.
+/// transcription of the two closing-set passes of `find_type2_violation_in`:
+///
+/// * `nc_close[P_1][j] = ⋁ { reach[P_2][j] : (P_1, P_2) ∈ nc_pairs }`;
+/// * `close[P_5][j] = ⋁ { reach[P_5][P_1] & nc_close[P_1][j] : P_1 }`.
+///
+/// AND distributes over OR, so lane by lane this equals the unfactored
+/// `⋁ reach[P_5][P_1] & reach[P_2][j]` over the pairs: the gate `reach[P_5][P_1]` certifies
+/// that `P_5` and `P_1` are members, the source row `reach[P_2]` certifies `P_2` and `j`.
+/// With `N` non-counterflow pairs, `S` distinct sources `P_1` and `C` candidates, the two
+/// passes cost `N·n + C·S·n` words instead of `C·N·n`. A lane is violated when some
+/// pair-condition group finds its `P_3` bit set with `P_4` a member. Witness *choice* may
+/// differ from the scalar search order; witness *existence* (all the sweep records) cannot.
 pub(crate) fn sweep_lanes(plan: &LanePlan, scratch: &mut LaneScratch, batch: u64) -> u64 {
     let n = plan.universe;
     let LaneScratch {
         member,
         reach,
+        nc_sources,
+        nc_close,
         close,
     } = scratch;
     debug_assert_eq!(member.len(), n);
@@ -207,9 +238,32 @@ pub(crate) fn sweep_lanes(plan: &LanePlan, scratch: &mut LaneScratch, batch: u64
             }
         }
         CycleCondition::TypeII => {
-            // close[ci][v] bit i ⇔ some non-counterflow pair (P_1, P_2) exists in lane i with
-            // P_1 reachable from candidate P_5 and v reachable from P_2. The gate word
-            // reach[P_5][P_1] certifies P_5 and P_1; the source row certifies P_2 and v.
+            // Pass 1, nc_close[k][v] bit i ⇔ the k-th non-counterflow source P_1 has a pair
+            // (P_1, P_2) with P_2 a lane-i member and v reachable from P_2 in lane i; the
+            // source row reach[P_2] certifies P_2 and v. P_1's own membership is left to the
+            // gate of pass 2. `plan.nc_pairs` is sorted, so each P_1's pairs are contiguous.
+            nc_sources.clear();
+            nc_close.clear();
+            let pairs = &plan.nc_pairs;
+            let mut i = 0;
+            while i < pairs.len() {
+                let (p1, start) = (pairs[i].0, i);
+                while i < pairs.len() && pairs[i].0 == p1 {
+                    i += 1;
+                }
+                if member[p1 as usize] == 0 {
+                    continue;
+                }
+                let row = nc_close.len();
+                nc_close.resize(row + n, 0);
+                for &(_, p2) in &pairs[start..i] {
+                    let src = p2 as usize * n;
+                    or_into(&mut nc_close[row..row + n], &reach[src..src + n]);
+                }
+                nc_sources.push(p1);
+            }
+            // Pass 2, close[ci][v] bit i ⇔ some such P_1 is reachable from candidate P_5 in
+            // lane i: the gate word reach[P_5][P_1] certifies P_5 and P_1.
             close.clear();
             close.resize(plan.candidates.len() * n, 0);
             for (ci, &p5) in plan.candidates.iter().enumerate() {
@@ -218,14 +272,14 @@ pub(crate) fn sweep_lanes(plan: &LanePlan, scratch: &mut LaneScratch, batch: u64
                     continue;
                 }
                 let row = ci * n;
-                for &(p1, p2) in &plan.nc_pairs {
+                for (k, &p1) in nc_sources.iter().enumerate() {
                     let gate = reach[p5 * n + p1 as usize];
                     if gate == 0 {
                         continue;
                     }
-                    let src = p2 as usize * n;
+                    let src = k * n;
                     for j in 0..n {
-                        close[row + j] |= gate & reach[src + j];
+                        close[row + j] |= gate & nc_close[src + j];
                     }
                 }
             }
@@ -558,6 +612,63 @@ mod tests {
             ..LaneScratch::default()
         };
         assert_eq!(sweep_lanes(&plan, &mut scratch, 0b111), 0b110);
+    }
+
+    #[test]
+    fn sweep_lanes_type2_gates_the_factored_closing_set_per_lane() {
+        // P_5 = 0 reaches P_1 = 2 only through X = 1; P_1 has two non-counterflow successors
+        // 3 and 4, each reaching P_3 = 6; the middle edge 6 -> 5 passes the pair condition
+        // and the counterflow edge 5 ~> 0 closes the cycle. Every subset of the seven nodes
+        // gets a lane: a type-II cycle exists exactly when {0, 1, 2, 5, 6} are members and at
+        // least one of 3 and 4 is. A kernel that let an excluded X or an excluded successor
+        // into the closing set of some lane would flag lanes this rule calls robust.
+        let nc_pairs = vec![(0, 1), (1, 2), (2, 3), (2, 4), (3, 6), (4, 6), (6, 5)];
+        let mut edge_pairs = nc_pairs.clone();
+        edge_pairs.push((5, 0));
+        let plan = LanePlan {
+            universe: 7,
+            condition: CycleCondition::TypeII,
+            edge_pairs,
+            cf_pairs: vec![(5, 0)],
+            nc_pairs,
+            candidates: vec![0],
+            type2_groups: vec![LaneType2Group {
+                cf_from: 5,
+                candidate: 0,
+                froms: (0, 1),
+            }],
+            type2_froms: vec![6],
+        };
+        let mut scratch = LaneScratch::default();
+        for half in 0..2usize {
+            scratch.member = vec![0u64; 7];
+            for lane in 0..64 {
+                let subset = half * 64 + lane;
+                for (v, word) in scratch.member.iter_mut().enumerate() {
+                    if subset & (1 << v) != 0 {
+                        *word |= 1 << lane;
+                    }
+                }
+            }
+            let robust = sweep_lanes(&plan, &mut scratch, u64::MAX);
+            for lane in 0..64 {
+                let subset = half * 64 + lane;
+                let core = 0b110_0111;
+                let cycle = subset & core == core && subset & 0b001_1000 != 0;
+                assert_eq!(
+                    robust & (1 << lane) == 0,
+                    cycle,
+                    "lane verdict wrong for node subset {subset:#09b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn set_bits_lists_indices_across_words() {
+        let words = [0b1001u64, 0, 1 << 63, 1];
+        let bits: Vec<usize> = set_bits(&words).collect();
+        assert_eq!(bits, vec![0, 3, 191, 192]);
     }
 
     #[test]

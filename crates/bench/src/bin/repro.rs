@@ -38,11 +38,14 @@
 //! setting `MVRC_THREADS=N`); the benchmark rows record the pool size actually used.
 
 use mvrc_bench::{figure6, figure7, figure8, table2};
-use mvrc_benchmarks::{auction, auction_n, smallbank, tpcc, ycsb_t, YcsbtConfig};
+use mvrc_benchmarks::{
+    auction, auction_n, smallbank, synthetic, tpcc, ycsb_t, SyntheticConfig, YcsbtConfig,
+};
 use mvrc_dist::{open_snapshot, save_snapshot, session_from_snapshot_bytes};
 use mvrc_robustness::{
     explore_subsets, explore_subsets_naive, explore_subsets_with, to_dot, AnalysisSettings,
-    CycleCondition, DotOptions, ExploreOptions, RobustnessSession, SweepKernel, SweepStrategy,
+    CycleCondition, DotOptions, ExploreOptions, RobustnessSession, SubsetExploration, SweepKernel,
+    SweepStrategy,
 };
 use mvrc_schedule::{find_counterexample, SearchConfig};
 use serde::Serialize;
@@ -295,10 +298,26 @@ struct SubsetBenchRow {
     pruned_per_subset_us: f64,
     /// Cycle tests actually run by the pruned sweep (the other paths run `subsets` tests).
     cycle_tests: usize,
-    /// Subsets decided by downward-closure pruning alone.
+    /// Cycle tests a top-down-only pruned sweep would run on the same verdicts — the subsets
+    /// without a robust one-bit superset — for comparison with the two-ended `cycle_tests`.
+    cycle_tests_descending: usize,
+    /// Subsets decided by Proposition 5.2 alone (in either direction).
     pruned_subsets: usize,
     /// Size of the `mvrc-par` worker pool during the run (`MVRC_THREADS` / `--threads`).
     threads: usize,
+}
+
+/// The cycle tests a top-down-only closure-pruned sweep runs on an exploration's verdicts:
+/// every subset except those with a robust one-bit superset.
+fn descending_cycle_tests(exploration: &SubsetExploration) -> usize {
+    let n = exploration.programs.len();
+    let mut robust = vec![false; 1 << n];
+    for subset in &exploration.robust {
+        robust[subset.iter().fold(0usize, |m, &i| m | 1 << i)] = true;
+    }
+    (1usize..1 << n)
+        .filter(|&mask| !(0..n).any(|i| mask & 1 << i == 0 && robust[mask | 1 << i]))
+        .count()
 }
 
 /// Median wall-clock time of `f` over `runs` executions, in microseconds.
@@ -333,11 +352,19 @@ fn bench_subsets(out_path: &str) {
         kernel: Some(SweepKernel::BitSliced),
         ..ExploreOptions::default()
     };
+    // The bundled benchmarks have at most 6 programs; a 14-program synthetic workload is where
+    // the sweep's level order and pruning show.
+    let mut synthetic14 = synthetic(SyntheticConfig {
+        programs: 14,
+        ..SyntheticConfig::default()
+    });
+    synthetic14.name = "Synthetic(14)".to_string();
     let rows: Vec<SubsetBenchRow> = [
         smallbank(),
         tpcc(),
         auction(),
         ycsb_t(YcsbtConfig::default()),
+        synthetic14,
     ]
     .into_iter()
     .map(|workload| {
@@ -385,6 +412,7 @@ fn bench_subsets(out_path: &str) {
             sharded_us,
             pruned_per_subset_us: pruned_us / subsets as f64,
             cycle_tests: pruned.cycle_tests,
+            cycle_tests_descending: descending_cycle_tests(&pruned),
             pruned_subsets: pruned.pruned,
             // `planned`, not `pool`: asking the running pool would *start* it, and with it
             // end the single-threaded allocator fast path the serial sweeps benefit from.
@@ -398,10 +426,11 @@ fn bench_subsets(out_path: &str) {
     );
     for row in &rows {
         println!(
-            "  {:<10} setup={:>8.1}µs  naive={:>9.1}µs  shared={:>9.1}µs  pruned={:>9.1}µs  scalar={:>9.1}µs  bitsliced={:>9.1}µs  sharded={:>9.1}µs  per-subset={:>7.2}µs  ({} of {} cycle tests run, {} pruned, {} threads)",
+            "  {:<13} setup={:>8.1}µs  naive={:>9.1}µs  shared={:>9.1}µs  pruned={:>9.1}µs  scalar={:>9.1}µs  bitsliced={:>9.1}µs  sharded={:>9.1}µs  per-subset={:>7.2}µs  ({} of {} cycle tests run, {} top-down only, {} pruned, {} threads)",
             row.benchmark, row.setup_us, row.naive_us, row.shared_us, row.pruned_us,
             row.scalar_pruned_us, row.bitsliced_us, row.sharded_us, row.pruned_per_subset_us,
-            row.cycle_tests, row.subsets, row.pruned_subsets, row.threads
+            row.cycle_tests, row.subsets, row.cycle_tests_descending, row.pruned_subsets,
+            row.threads
         );
     }
     let payload = serde_json::to_string_pretty(&rows).expect("serializable rows");

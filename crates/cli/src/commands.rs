@@ -537,7 +537,7 @@ fn subsets(
             writeln!(out, "robust subsets:  {}", exploration.robust.len()).unwrap();
             writeln!(
                 out,
-                "cycle tests:     {} run, {} pruned via downward closure",
+                "cycle tests:     {} run, {} pruned via Proposition 5.2",
                 exploration.cycle_tests, exploration.pruned
             )
             .unwrap();
@@ -689,7 +689,7 @@ fn shard_merge(dir: &str, format: Format) -> Result<CommandOutput, CliError> {
             writeln!(out, "robust subsets:  {}", exploration.robust.len()).unwrap();
             writeln!(
                 out,
-                "cycle tests:     {} run, {} pruned via downward closure (summed across shards)",
+                "cycle tests:     {} run, {} pruned via Proposition 5.2 (single-process accounting)",
                 exploration.cycle_tests, exploration.pruned
             )
             .unwrap();

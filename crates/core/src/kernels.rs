@@ -28,11 +28,12 @@
 //! those rows, each `u64` operation deciding the same step for 64 subsets.
 //!
 //! Batching whole rank ranges this way is sound with Proposition 5.2 pruning in effect: the
-//! inheritance check for a level-`k` mask reads only its one-bit supersets, which live at level
-//! `k + 1` — pruning information flows strictly from level `k + 1` down to level `k`, never
-//! within a level. Deferring the publication of a level-`k` verdict until its lane batch
-//! flushes therefore cannot change any pruning decision (or counter) of the same level, and
-//! the level barrier of the sweep guarantees every batch flushes before level `k - 1` starts.
+//! inheritance check for a level-`k` mask reads only its one-bit supersets (level `k + 1`) and
+//! its one-bit subsets (level `k - 1`), and only when that adjacent level is already complete —
+//! pruning information flows between levels, never within one. Deferring the publication of a
+//! level-`k` verdict until its lane batch flushes therefore cannot change any pruning decision
+//! (or counter) of the same level, and the level barrier of the sweep guarantees every batch
+//! flushes before level `k` counts as complete and a neighbouring level reads it.
 //!
 //! The structure shared by all lanes — deduplicated edge pairs, counterflow pairs, the
 //! pair-condition tests of Algorithm 2 — is compiled once per graph and condition into a

@@ -4,9 +4,21 @@
 //! transaction programs that the respective test attests robust (Figures 6 and 7). This module
 //! reproduces that exploration on top of the [`RobustnessSession`]: one cached summary graph
 //! per settings combination, one cheap induced view per tested subset, and — by default —
-//! **downward-closure pruning** (Proposition 5.2): robustness is preserved under taking
-//! subsets, so masks are enumerated by descending popcount and every subset of a set already
-//! attested robust is marked robust without running its cycle test.
+//! **closure pruning** (Proposition 5.2): robustness is preserved under taking subsets, so a
+//! mask with a robust one-bit superset is robust, and (the contrapositive) a mask with a
+//! non-robust one-bit subset is not. Either is decided without running its cycle test.
+//!
+//! # Two-ended level order
+//!
+//! A popcount level is swept only once an adjacent level is *complete* (every verdict final),
+//! and its masks inherit only from complete levels. The sweep keeps the open levels as one
+//! contiguous range and each step sweeps either its highest level (inheriting robustness from
+//! the level above) or its lowest (inheriting non-robustness from the level below), whichever
+//! has fewer masks left to test; ties go to the top, so a fully robust workload costs one
+//! cycle test. The last open level inherits from both sides. A mostly robust workload is thus
+//! decided from the top down, a mostly non-robust one from the bottom up. The order is a pure
+//! function of the verdicts, which is what lets [`RankRangeSweep::counters_as_fresh`] replay
+//! it from the final verdict bits alone.
 //!
 //! # Streaming level traversal
 //!
@@ -93,10 +105,12 @@ pub struct ExploreOptions {
     /// threshold and fans out across the `mvrc-par` pool otherwise. Below the default of 64
     /// subsets the whole sweep takes microseconds and fan-out would dominate.
     pub parallel_threshold: usize,
-    /// Exploit downward closure (Proposition 5.2): enumerate masks by descending popcount and
-    /// mark every subset of a known-robust set robust without running its cycle test. Exact —
-    /// the attested-robust family is downward closed because an induced subgraph can only lose
-    /// cycles — and cross-checked against the exhaustive path in the test-suite.
+    /// Exploit Proposition 5.2 in both directions, sweeping the levels in the two-ended order
+    /// of the module docs: a mask with a robust one-bit superset is robust, a mask with a
+    /// non-robust one-bit subset is not, and neither runs its cycle test. Exact — the
+    /// attested-robust family is downward closed because an induced subgraph can only lose
+    /// cycles — and cross-checked against the exhaustive path in the test-suite. When off,
+    /// every mask is tested.
     pub closure_pruning: bool,
     /// Level traversal: streamed rank ranges (default) or the materializing oracle.
     pub strategy: SweepStrategy,
@@ -159,9 +173,11 @@ pub struct SubsetExploration {
     pub robust: Vec<Vec<usize>>,
     /// The maximal robust subsets (no robust strict superset exists).
     pub maximal: Vec<Vec<usize>>,
-    /// Number of cycle tests actually run (`2^n - 1` minus the subsets decided by pruning).
+    /// Number of cycle tests actually run (`2^n - 1` minus the subsets decided by pruning or
+    /// reuse).
     pub cycle_tests: usize,
-    /// Number of subsets attested robust by downward-closure pruning alone.
+    /// Number of subsets decided by Proposition 5.2 alone: inherited robust from a robust
+    /// one-bit superset or inherited non-robust from a non-robust one-bit subset.
     pub pruned: usize,
     /// Number of subsets whose verdict was adopted from a previous sweep without being visited
     /// at all ([`ExploreOptions::incremental`]); `0` on a fresh sweep. Every non-empty subset
@@ -266,6 +282,83 @@ fn next_same_popcount(mask: usize) -> usize {
     ripple | (((mask ^ ripple) / lowest) >> 2)
 }
 
+/// `LEVEL_POSITIONS[j]` has bit `p` set iff position `p` of a 64-mask verdict word has `j`
+/// set bits: the masks of word `w` at level `k` are `LEVEL_POSITIONS[k - popcount(w)]`.
+const LEVEL_POSITIONS: [u64; 7] = {
+    let mut table = [0u64; 7];
+    let mut p = 0;
+    while p < 64 {
+        table[(p as u64).count_ones() as usize] |= 1 << p;
+        p += 1;
+    }
+    table
+};
+
+/// `BIT_CLEAR[i]` has bit `p` set iff bit `i` of position `p` is clear, for the mask bits
+/// `i < 6` that address a position inside a verdict word.
+const BIT_CLEAR: [u64; 6] = [
+    0x5555_5555_5555_5555,
+    0x3333_3333_3333_3333,
+    0x0F0F_0F0F_0F0F_0F0F,
+    0x00FF_00FF_00FF_00FF,
+    0x0000_FFFF_0000_FFFF,
+    0x0000_0000_FFFF_FFFF,
+];
+
+/// What Proposition 5.2 decides for the masks of one popcount level inside one verdict word
+/// ([`RankRangeSweep::inherited`]). `robust` and `non_robust` are disjoint subsets of `level`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Inherited {
+    /// The level's masks in this word.
+    level: u64,
+    /// Masks with a robust one-bit superset (read only when the level above is complete).
+    robust: u64,
+    /// Masks with a non-robust one-bit subset (read only when the level below is complete).
+    non_robust: u64,
+}
+
+/// The two-ended level order of the module docs: the open levels are `lo..=hi`; each step
+/// sweeps `hi` or `lo`, whichever has fewer masks left to test (ties to `hi`). A frontier
+/// level's count is taken once and cached until that end moves: it reads only the complete
+/// level beyond it, which no later step changes.
+struct LevelOrder {
+    lo: usize,
+    hi: usize,
+    top: Option<usize>,
+    bottom: Option<usize>,
+}
+
+impl LevelOrder {
+    fn new(n: usize) -> Self {
+        LevelOrder {
+            lo: 1,
+            hi: n,
+            top: None,
+            bottom: None,
+        }
+    }
+
+    /// The next level to sweep, given `tests(level)`: the cycle tests the level needs now.
+    /// The caller must mark the returned level complete before asking again.
+    fn next(&mut self, tests: impl Fn(usize) -> usize) -> Option<usize> {
+        if self.lo > self.hi {
+            return None;
+        }
+        if self.lo < self.hi {
+            let top = *self.top.get_or_insert_with(|| tests(self.hi));
+            let bottom = *self.bottom.get_or_insert_with(|| tests(self.lo));
+            if bottom < top {
+                self.lo += 1;
+                self.bottom = None;
+                return Some(self.lo - 1);
+            }
+        }
+        self.hi -= 1;
+        self.top = None;
+        Some(self.hi + 1)
+    }
+}
+
 /// One shard of a popcount level: the contiguous slice `rank_start..rank_end` of the
 /// colexicographic rank space `0..C(n, level)` of the `level`-subsets.
 ///
@@ -298,15 +391,16 @@ impl ShardSpec {
 }
 
 /// Work counters produced by sweeping one or more shards: how many cycle tests ran and how
-/// many masks were decided by downward-closure pruning alone. Summing the counters of a
-/// partition of the mask space reproduces the single-sweep accounting exactly (each mask is
-/// visited by exactly one shard, and the inherit-or-test decision depends only on the fully
-/// merged verdicts of the level above).
+/// many masks were decided by Proposition 5.2 alone. Summing the counters of a partition of a
+/// level reproduces the single-sweep accounting exactly (each mask is visited by exactly one
+/// shard, and the inherit-or-test decision depends only on the fully merged verdicts of the
+/// complete adjacent levels).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardCounters {
     /// Number of cycle tests actually run.
     pub cycle_tests: usize,
-    /// Number of masks attested robust by Proposition 5.2 pruning without a cycle test.
+    /// Number of masks decided by Proposition 5.2 without a cycle test, in either direction
+    /// (robust from a robust one-bit superset, non-robust from a non-robust one-bit subset).
     pub pruned: usize,
 }
 
@@ -536,9 +630,10 @@ pub fn rebase_cached_sweep(
 /// This is the public entry point the distributed shard workers of `mvrc-dist` drive — and
 /// what every [`SweepStrategy`] of [`explore_subsets_with`] runs on in-process. The split
 /// into `run_shard` calls is *invisible in the result*: verdicts are deterministic per mask,
-/// and the pruning decision for a mask only reads the (fully published) verdicts of the level
-/// above, so any partition of a level — chunks, shards, processes — produces identical
-/// verdict bits and identical summed [`ShardCounters`].
+/// and the pruning decision for a mask only reads the (fully published) verdicts of the
+/// adjacent levels its driver marked complete ([`mark_level_complete`](Self::mark_level_complete)),
+/// so any partition of a level — chunks, shards, processes — produces identical verdict bits
+/// and identical summed [`ShardCounters`].
 ///
 /// External verdicts (e.g. the merged bits of other worker processes) are folded in through
 /// [`or_verdict_words`](Self::or_verdict_words); [`verdict_words`](Self::verdict_words)
@@ -555,6 +650,9 @@ pub struct RankRangeSweep {
     /// Masks whose verdict was adopted from a seed ([`Self::apply_seed`]): visited shards skip
     /// them without a cycle test or a pruning decision. `None` on a fresh sweep.
     decided: Option<Vec<u64>>,
+    /// Bit `k` set once level `k` is complete ([`Self::mark_level_complete`]): only complete
+    /// levels feed Proposition 5.2 inheritance.
+    complete: u32,
     /// The per-mask decision kernel ([`Self::with_kernel`]).
     kernel: SweepKernel,
 }
@@ -628,6 +726,7 @@ impl RankRangeSweep {
             binomials: Binomials::new(n),
             bits: (0..total.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
             decided: None,
+            complete: 0,
             kernel: SweepKernel::default(),
         }
     }
@@ -684,31 +783,109 @@ impl RankRangeSweep {
         }
     }
 
-    /// The counters a *fresh* single-process sweep over the final verdict set would report —
-    /// a pure function of the verdict bits: with pruning on, a mask is pruned exactly when one
-    /// of its one-bit supersets is robust (the supersets' verdicts are fully published before
-    /// the mask's level runs, so the fresh sweep's decision reads the same bits). This is what
-    /// lets a resumed shard run's merge reproduce the fresh sweep's accounting byte for byte
-    /// without re-running any cycle test.
+    /// The counters a *fresh* single-process [`explore_subsets_with`] over the final verdict
+    /// set would report. The two-ended level order and every inherit-or-test decision read
+    /// only verdicts of complete levels, so both are a pure function of the final verdict
+    /// bits: this replays that order on them, ignoring any seed. It is what lets a shard run's
+    /// merge (whose workers descend level by level, and may have resumed from a seed)
+    /// reproduce the fresh sweep's accounting byte for byte without re-running any cycle test.
     pub fn counters_as_fresh(&self) -> ShardCounters {
-        let n = self.programs.len();
-        let total = 1usize << n;
-        if !self.closure_pruning {
-            return ShardCounters {
-                cycle_tests: total - 1,
-                pruned: 0,
-            };
-        }
-        let mut pruned = 0usize;
-        for mask in 1..total {
-            if (0..n).any(|i| mask & (1 << i) == 0 && self.is_marked(mask | (1 << i))) {
-                pruned += 1;
-            }
+        let mut order = LevelOrder::new(self.programs.len());
+        let mut complete = 0u32;
+        let mut cycle_tests = 0;
+        while let Some(level) = order.next(|level| self.level_tests(level, complete, None)) {
+            cycle_tests += self.level_tests(level, complete, None);
+            complete |= 1 << level;
         }
         ShardCounters {
-            cycle_tests: total - 1 - pruned,
-            pruned,
+            cycle_tests,
+            pruned: (1usize << self.programs.len()) - 1 - cycle_tests,
         }
+    }
+
+    /// Records that every verdict of `level` is final — every shard of the level ran and,
+    /// across processes, was merged in. From then on the masks of the adjacent levels inherit
+    /// from it: level `level - 1` robustness, level `level + 1` non-robustness.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `level` exceeds the program count.
+    pub fn mark_level_complete(&mut self, level: usize) {
+        assert!(
+            level <= self.programs.len(),
+            "level {level} out of range 0..={}",
+            self.programs.len()
+        );
+        self.complete |= 1 << level;
+    }
+
+    /// Proposition 5.2 in both directions for the `level`-masks of verdict word `word`, given
+    /// the complete levels `complete` (bit `k` ⇔ level `k`). Word-parallel: one shifted OR
+    /// per program, a shift inside the word for mask bits `i < 6` and the word index XOR
+    /// `1 << (i - 6)` for the others. A level-`k` position of the result reads only its
+    /// one-bit supersets (robust side) or subsets (non-robust side), so in-flight verdicts of
+    /// level `k` itself never leak in.
+    fn inherited(&self, level: usize, word: usize, complete: u32) -> Inherited {
+        let n = self.programs.len();
+        let high = word.count_ones() as usize;
+        let Some(mut positions) = level
+            .checked_sub(high)
+            .and_then(|low| LEVEL_POSITIONS.get(low).copied())
+        else {
+            return Inherited::default();
+        };
+        if n < 6 {
+            positions &= (1u64 << (1 << n)) - 1;
+        }
+        let mut out = Inherited {
+            level: positions,
+            ..Inherited::default()
+        };
+        if !self.closure_pruning || positions == 0 {
+            return out;
+        }
+        let own = self.bits[word].load(Ordering::Relaxed);
+        if level < n && complete & (1 << (level + 1)) != 0 {
+            let mut above = 0u64;
+            for (i, clear) in BIT_CLEAR.iter().enumerate().take(n) {
+                above |= (own >> (1 << i)) & clear;
+            }
+            for i in 6..n {
+                let bit = 1 << (i - 6);
+                if word & bit == 0 {
+                    above |= self.bits[word | bit].load(Ordering::Relaxed);
+                }
+            }
+            out.robust = positions & above;
+        }
+        // Level 1 never inherits non-robustness: its only subset, the empty set, is robust.
+        if level > 1 && complete & (1 << (level - 1)) != 0 {
+            let mut below = 0u64;
+            for (i, clear) in BIT_CLEAR.iter().enumerate().take(n) {
+                below |= (!own << (1 << i)) & !clear;
+            }
+            for i in 6..n {
+                let bit = 1 << (i - 6);
+                if word & bit != 0 {
+                    below |= !self.bits[word ^ bit].load(Ordering::Relaxed);
+                }
+            }
+            out.non_robust = positions & below & !out.robust;
+        }
+        out
+    }
+
+    /// The cycle tests level `level` needs given the complete levels `complete`: its masks
+    /// that are neither inherited nor, when `decided` is given, already decided by a seed.
+    fn level_tests(&self, level: usize, complete: u32, decided: Option<&[u64]>) -> usize {
+        (0..self.bits.len())
+            .map(|word| {
+                let inherited = self.inherited(level, word, complete);
+                let seeded = decided.map_or(0, |d| d[word]);
+                (inherited.level & !(inherited.robust | inherited.non_robust | seeded)).count_ones()
+                    as usize
+            })
+            .sum()
     }
 
     /// Number of programs (`n`); masks range over `1..2^n`.
@@ -828,44 +1005,25 @@ impl RankRangeSweep {
         }
     }
 
+    /// The seeded masks of verdict word `word` ([`Self::apply_seed`]); `0` on a fresh sweep.
     #[inline]
-    fn is_decided(&self, mask: usize) -> bool {
-        self.decided
-            .as_ref()
-            .is_some_and(|d| d[mask / 64] & (1u64 << (mask % 64)) != 0)
+    fn decided_word(&self, word: usize) -> u64 {
+        self.decided.as_ref().map_or(0, |d| d[word])
     }
 
-    /// Decides one mask: adopt a seeded verdict (zero deltas), inherit through Proposition 5.2
-    /// or run the cycle test on an induced view. `members` is a reusable scratch buffer.
-    /// Returns the counter deltas.
-    fn visit_mask(&self, mask: usize, members: &mut Vec<NodeId>) -> ShardCounters {
-        if self.is_decided(mask) {
-            return ShardCounters::default();
-        }
-        let n = self.programs.len();
-        let inherited = self.closure_pruning
-            && (0..n).any(|i| mask & (1 << i) == 0 && self.is_marked(mask | (1 << i)));
-        if inherited {
-            self.mark(mask);
-            return ShardCounters {
-                cycle_tests: 0,
-                pruned: 1,
-            };
-        }
-        self.test_mask(mask, members);
-        ShardCounters {
-            cycle_tests: 1,
-            pruned: 0,
-        }
-    }
-
-    /// Sweeps one shard: unranks the first mask of the range once, then walks the range with
-    /// Gosper's hack, deciding every mask. Verdicts are published into the shared bitset;
-    /// the returned counters cover exactly this range.
+    /// Sweeps one shard: unranks the range's first and last masks once, then walks the level's
+    /// masks between them a verdict word at a time. Per word, one word-parallel evaluation of
+    /// Proposition 5.2 settles every mask a complete adjacent level decides; the rest go to the
+    /// cycle test — one induced view each under [`SweepKernel::Scalar`], lane batches of up to
+    /// 64 under [`SweepKernel::BitSliced`]. Seeded masks are skipped with zero counter deltas.
+    /// Verdicts are published into the shared bitset; the returned counters cover exactly
+    /// this range.
     ///
-    /// Correct accounting requires the caller to respect the level order: every shard of level
-    /// `k + 1` must complete (and, across processes, be merged in) before any shard of level
-    /// `k` runs — [`explore_subsets_with`] and the `mvrc-dist` level barrier both do.
+    /// Pruning reads only the levels marked complete ([`Self::mark_level_complete`]), so the
+    /// caller decides which neighbours feed a level: [`explore_subsets_with`] follows the
+    /// two-ended order of the module docs, and the `mvrc-dist` workers descend, marking each
+    /// level complete after its barrier. Either way no shard of a level may still run when
+    /// the level is marked complete.
     ///
     /// # Panics
     ///
@@ -888,60 +1046,54 @@ impl RankRangeSweep {
         if spec.is_empty() {
             return counters;
         }
+        let first = unrank_colex(spec.rank_start, spec.level, &self.binomials);
+        let last = unrank_colex(spec.rank_end - 1, spec.level, &self.binomials);
         with_sweep_scratch(|scratch| {
             let SweepScratch {
                 members,
                 batch,
                 lanes,
             } = scratch;
-            let mut mask = unrank_colex(spec.rank_start, spec.level, &self.binomials);
-            match self.kernel {
-                SweepKernel::Scalar => {
-                    for rank in spec.rank_start..spec.rank_end {
-                        counters = counters.merged(self.visit_mask(mask, members));
-                        if rank + 1 < spec.rank_end {
-                            mask = next_same_popcount(mask);
-                        }
-                    }
+            batch.clear();
+            for word in first / 64..=last / 64 {
+                let inherited = self.inherited(spec.level, word, self.complete);
+                let mut visit = inherited.level & !self.decided_word(word);
+                if word == first / 64 {
+                    visit &= u64::MAX << (first % 64);
                 }
-                SweepKernel::BitSliced => {
-                    // Gather the undecided, non-inherited masks of the range into lane
-                    // batches of 64 and decide each batch with one traversal. Deferring the
-                    // verdict publication to the batch flush is sound under Proposition 5.2
-                    // pruning: the inheritance check for a level-k mask reads only its
-                    // one-bit supersets at level k+1 (fully published before this level ran)
-                    // — never the in-flight verdicts of its own level — so batching changes
-                    // neither any pruning decision nor any counter. The final flush below
-                    // completes before the shard returns, hence before any level barrier.
-                    let n = self.programs.len();
-                    batch.clear();
-                    for rank in spec.rank_start..spec.rank_end {
-                        if !self.is_decided(mask) {
-                            let inherited = self.closure_pruning
-                                && (0..n).any(|i| {
-                                    mask & (1 << i) == 0 && self.is_marked(mask | (1 << i))
-                                });
-                            if inherited {
-                                self.mark(mask);
-                                counters.pruned += 1;
-                            } else {
-                                counters.cycle_tests += 1;
-                                batch.push(mask);
-                                if batch.len() == 64 {
-                                    self.flush_lane_batch(batch, lanes);
-                                    batch.clear();
-                                }
+                if word == last / 64 {
+                    visit &= u64::MAX >> (63 - last % 64);
+                }
+                if visit == 0 {
+                    continue;
+                }
+                let robust = visit & inherited.robust;
+                let mut test = visit & !(inherited.robust | inherited.non_robust);
+                if robust != 0 {
+                    self.bits[word].fetch_or(robust, Ordering::Relaxed);
+                }
+                counters.pruned += (visit & !test).count_ones() as usize;
+                counters.cycle_tests += test.count_ones() as usize;
+                while test != 0 {
+                    let mask = word * 64 + test.trailing_zeros() as usize;
+                    test &= test - 1;
+                    match self.kernel {
+                        SweepKernel::Scalar => self.test_mask(mask, members),
+                        SweepKernel::BitSliced => {
+                            batch.push(mask);
+                            if batch.len() == 64 {
+                                self.flush_lane_batch(batch, lanes);
+                                batch.clear();
                             }
                         }
-                        if rank + 1 < spec.rank_end {
-                            mask = next_same_popcount(mask);
-                        }
-                    }
-                    if !batch.is_empty() {
-                        self.flush_lane_batch(batch, lanes);
-                        batch.clear();
                     }
                 }
+            }
+            // The final flush completes before the shard returns, hence before the level can
+            // be marked complete (see the lane-batch soundness argument in `kernels`).
+            if !batch.is_empty() {
+                self.flush_lane_batch(batch, lanes);
+                batch.clear();
             }
         });
         counters
@@ -995,12 +1147,12 @@ pub fn explore_subsets(
 /// of a subset equals the induced subgraph of the full summary graph (only reachability has to
 /// be recomputed per view).
 ///
-/// With `closure_pruning` enabled (the default), masks are processed level by level in
-/// descending popcount order; a mask whose immediate superset (one extra program) is already
-/// known robust inherits robustness by Proposition 5.2 without a cycle test. Levels are
-/// independent-within and ordered-between: each level is one parallel pass over the pool (a
-/// barrier between levels keeps the pruning reads race-free — a level only ever reads verdict
-/// bits of the level above it, which the preceding pass fully published).
+/// With `closure_pruning` enabled (the default), masks are processed level by level in the
+/// two-ended order of the module docs; a mask with a robust one-bit superset, or a non-robust
+/// one-bit subset, in a complete level inherits its verdict by Proposition 5.2 without a cycle
+/// test. Levels are independent-within and ordered-between: each level is one parallel pass
+/// over the pool (a barrier between levels keeps the pruning reads race-free — a level only
+/// ever reads verdict bits of complete adjacent levels, which earlier passes fully published).
 ///
 /// [`explore_subsets_naive`] retains the literal per-subset reconstruction for cross-checking
 /// and benchmarking.
@@ -1059,16 +1211,17 @@ pub fn explore_subsets_with(
 
     // Robustness verdicts live in the sweep's atomic bitset. Within a level workers publish
     // their own bits concurrently (`fetch_or`); across levels the runtime's fold barrier
-    // orders every store of level k+1 before every load at level k, so `Relaxed` suffices.
+    // orders every store of a completed level before every load of a later one, so `Relaxed`
+    // suffices.
     let mut totals = ShardCounters::default();
     let mut masks_buffered = 0usize;
-    for level in (1..=n).rev() {
+    let mut order = LevelOrder::new(n);
+    while let Some(level) =
+        order.next(|level| sweep.level_tests(level, sweep.complete, sweep.decided.as_deref()))
+    {
         // On a fresh sweep this is the single run `(0, C(n, level))`; a seeded sweep only
         // visits the ranks no previous sweep decided (possibly none).
         let runs = sweep.undecided_runs(level);
-        if runs.is_empty() {
-            continue;
-        }
         match options.strategy {
             SweepStrategy::Streamed => {
                 // Fold over each run's rank range: every chunk unranks its first mask once and
@@ -1133,10 +1286,12 @@ pub fn explore_subsets_with(
                 masks_buffered += masks.len();
                 let mut to_test = Vec::with_capacity(masks.len());
                 for mask in masks {
-                    let inherited = options.closure_pruning
-                        && (0..n).any(|i| mask & (1 << i) == 0 && sweep.is_marked(mask | (1 << i)));
-                    if inherited {
+                    let inherited = sweep.inherited(level, mask / 64, sweep.complete);
+                    let bit = 1u64 << (mask % 64);
+                    if inherited.robust & bit != 0 {
                         sweep.mark(mask);
+                    }
+                    if (inherited.robust | inherited.non_robust) & bit != 0 {
                         totals.pruned += 1;
                     } else {
                         to_test.push(mask);
@@ -1162,6 +1317,7 @@ pub fn explore_subsets_with(
                 );
             }
         }
+        sweep.mark_level_complete(level);
     }
 
     let exploration = sweep.exploration(totals, masks_buffered, reused);
@@ -1441,7 +1597,7 @@ mod tests {
         let settings = AnalysisSettings::paper_default();
         let reference = explore_subsets(&session, settings);
 
-        let sweep = RankRangeSweep::new(&session, settings, true);
+        let mut sweep = RankRangeSweep::new(&session, settings, true);
         let n = sweep.program_count();
         let mut totals = ShardCounters::default();
         for level in (1..=n).rev() {
@@ -1452,6 +1608,7 @@ mod tests {
                     rank_end: rank + 1,
                 }));
             }
+            sweep.mark_level_complete(level);
         }
         let exploration = sweep.exploration(totals, 0, 0);
         assert_eq!(exploration.robust, reference.robust);
@@ -1477,9 +1634,10 @@ mod tests {
         });
         assert_eq!(top_counters.cycle_tests, 1);
 
-        let rest = RankRangeSweep::new(&session, settings, true);
+        let mut rest = RankRangeSweep::new(&session, settings, true);
         assert_eq!(rest.word_count(), top.word_count());
         rest.or_verdict_words(&top.verdict_words());
+        rest.mark_level_complete(n);
         let mut totals = top_counters;
         for level in (1..n).rev() {
             totals = totals.merged(rest.run_shard(ShardSpec {
@@ -1487,12 +1645,80 @@ mod tests {
                 rank_start: 0,
                 rank_end: rest.level_size(level),
             }));
+            rest.mark_level_complete(level);
         }
         let exploration = rest.exploration(totals, 0, 0);
         let reference = explore_subsets(&session, settings);
         assert_eq!(exploration.robust, reference.robust);
         assert_eq!(exploration.cycle_tests, reference.cycle_tests);
         assert_eq!(exploration.pruned, reference.pruned);
+    }
+
+    #[test]
+    fn word_parallel_inheritance_matches_the_per_mask_definition() {
+        // Arbitrary verdict bits (not real verdicts: the predicate reads bits only) against
+        // Proposition 5.2 spelled out mask by mask, for every level and every set of complete
+        // levels, across n below, at and above the 6 in-word mask bits.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for n in 1..=9usize {
+            let workload = mvrc_benchmarks::synthetic(mvrc_benchmarks::SyntheticConfig {
+                programs: n,
+                statements_per_program: 1,
+                ..mvrc_benchmarks::SyntheticConfig::default()
+            });
+            let session = RobustnessSession::new(workload);
+            let sweep = RankRangeSweep::new(&session, AnalysisSettings::paper_default(), true);
+            let words: Vec<u64> = (0..sweep.word_count()).map(|_| next()).collect();
+            sweep.or_verdict_words(&words);
+            let marked = |mask: usize| words[mask / 64] & (1 << (mask % 64)) != 0;
+            for _ in 0..8 {
+                let complete = next() as u32 & ((1u32 << (n + 1)) - 1);
+                for level in 1..=n {
+                    let above = level < n && complete & (1 << (level + 1)) != 0;
+                    let below = level > 1 && complete & (1 << (level - 1)) != 0;
+                    for mask in (1usize..1 << n).filter(|m| m.count_ones() as usize == level) {
+                        let bit = 1u64 << (mask % 64);
+                        let got = sweep.inherited(level, mask / 64, complete);
+                        let robust = above
+                            && (0..n).any(|i| mask & (1 << i) == 0 && marked(mask | (1 << i)));
+                        let non_robust = !robust
+                            && below
+                            && (0..n).any(|i| mask & (1 << i) != 0 && !marked(mask ^ (1 << i)));
+                        assert_ne!(got.level & bit, 0, "n={n} mask={mask:#b}");
+                        assert_eq!(got.robust & bit != 0, robust, "n={n} mask={mask:#b}");
+                        assert_eq!(
+                            got.non_robust & bit != 0,
+                            non_robust,
+                            "n={n} mask={mask:#b}"
+                        );
+                    }
+                    let level_masks: u32 = (0..sweep.word_count())
+                        .map(|w| sweep.inherited(level, w, complete).level.count_ones())
+                        .sum();
+                    assert_eq!(level_masks as usize, sweep.level_size(level));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn level_order_takes_the_cheaper_end_and_breaks_ties_to_the_top() {
+        // Level 4 ties level 1 (3 tests each) and goes first; then level 1 undercuts level 3;
+        // levels 3 and 2 tie; the last open level needs no count.
+        let mut order = LevelOrder::new(4);
+        let counts = [0, 3, 9, 9, 3];
+        let visited: Vec<usize> = std::iter::from_fn(|| order.next(|l| counts[l])).collect();
+        assert_eq!(visited, vec![4, 1, 3, 2]);
+        let mut free = LevelOrder::new(3);
+        let visited: Vec<usize> = std::iter::from_fn(|| free.next(|_| 0)).collect();
+        assert_eq!(visited, vec![3, 2, 1], "all-zero counts descend");
+        assert_eq!(LevelOrder::new(0).next(|_| 0), None);
     }
 
     #[test]

@@ -4,15 +4,16 @@
 //! from-scratch `explore_subsets` over an independently constructed session, its work
 //! counters must honor the reuse bounds (zero cycle tests after a removal, at most the
 //! containing-subsets count after an addition), and the edited session's *fresh* sweep must
-//! reproduce the from-scratch accounting exactly — for all three [`SweepStrategy`] variants
-//! and under both [`Parallelism::Serial`] and [`Parallelism::Threads(4)`].
+//! reproduce the from-scratch accounting exactly — for all three [`SweepStrategy`] variants,
+//! both [`SweepKernel`]s and under both [`Parallelism::Serial`] and
+//! [`Parallelism::Threads(4)`], with identical counters across all of them.
 
 use mvrc_benchmarks::{synthetic, SyntheticConfig};
 use mvrc_btp::Program;
 use mvrc_par::Parallelism;
 use mvrc_robustness::{
     explore_subsets, explore_subsets_with, AnalysisSettings, ExploreOptions, RobustnessSession,
-    SubsetExploration, SweepStrategy,
+    SubsetExploration, SweepKernel, SweepStrategy,
 };
 use proptest::prelude::*;
 
@@ -20,7 +21,7 @@ fn synthetic_config_strategy() -> impl Strategy<Value = SyntheticConfig> {
     (
         1usize..=3,   // relations
         2usize..=4,   // attributes per relation
-        2usize..=5,   // program pool (sessions start with a prefix, edits draw from the rest)
+        2usize..=7,   // program pool (sessions start with a prefix, edits draw from the rest)
         1usize..=3,   // statements per program
         0.0f64..=1.0, // predicate probability
         0.0f64..=1.0, // write probability
@@ -132,16 +133,21 @@ proptest! {
         }
 
         // Pass 2 — replay the same edit sequence with an incremental re-sweep after every
-        // edit, across every strategy and parallelism pin.
-        for strategy in [
-            SweepStrategy::Streamed,
-            SweepStrategy::Materialized,
-            SweepStrategy::Sharded,
+        // edit, across every strategy, kernel and parallelism pin. The seeded sweeps' counters
+        // must not depend on any of them: the first combination's are the reference.
+        let mut reference_counters: Vec<(usize, usize)> = Vec::new();
+        for (strategy, kernel) in [
+            (SweepStrategy::Streamed, SweepKernel::BitSliced),
+            (SweepStrategy::Materialized, SweepKernel::BitSliced),
+            (SweepStrategy::Sharded, SweepKernel::BitSliced),
+            (SweepStrategy::Streamed, SweepKernel::Scalar),
+            (SweepStrategy::Sharded, SweepKernel::Scalar),
         ] {
             for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
                 let options = ExploreOptions {
                     strategy,
                     parallelism,
+                    kernel: Some(kernel),
                     incremental: true,
                     // The synthetic workloads here are tiny; pin the size cutoff open so the
                     // reuse engine itself is what gets exercised.
@@ -152,7 +158,7 @@ proptest! {
                 let first = explore_subsets_with(&session, settings, options);
                 prop_assert_eq!(first.reused, 0, "nothing to reuse before the first sweep");
 
-                for (edit, fresh) in edits.iter().zip(&fresh_timeline) {
+                for (step, (edit, fresh)) in edits.iter().zip(&fresh_timeline).enumerate() {
                     match edit {
                         Edit::Add { program, .. } => session.add_program(program.clone()),
                         Edit::Remove { name, .. } => session.remove_program(name).unwrap(),
@@ -160,6 +166,14 @@ proptest! {
                     let inc = explore_subsets_with(&session, settings, options);
                     let n = session.program_names().len();
                     let total = (1usize << n) - 1;
+                    if reference_counters.len() == step {
+                        reference_counters.push((inc.cycle_tests, inc.pruned));
+                    }
+                    prop_assert_eq!(
+                        (inc.cycle_tests, inc.pruned),
+                        reference_counters[step],
+                        "{:?}/{:?}/{:?}", strategy, kernel, parallelism
+                    );
 
                     // Verdicts agree with the from-scratch sweep.
                     prop_assert_eq!(&inc.robust, &fresh.robust, "{:?}/{:?}", strategy, edit);
@@ -341,4 +355,49 @@ fn small_workloads_fall_back_to_fresh_sweeps_under_the_size_cutoff() {
     let resweep = explore_subsets_with(&big, settings, options);
     assert_eq!(resweep.cycle_tests, 0);
     assert_eq!(resweep.reused, (1 << 4) - 1);
+}
+
+#[test]
+fn seeded_sweeps_keep_the_accounting_identity_on_a_larger_workload() {
+    // Ten programs: the re-sweep after adding the tenth visits only the 2^9 subsets that
+    // contain it, and the two-ended order inherits across seeded and swept verdicts alike.
+    // Every strategy × kernel must account for each subset exactly once, with identical
+    // counters, and agree with a from-scratch sweep.
+    let workload = synthetic(SyntheticConfig {
+        programs: 10,
+        statements_per_program: 2,
+        seed: 0xC0FFEE,
+        ..SyntheticConfig::default()
+    });
+    let (pool, schema) = (workload.programs.clone(), workload.schema.clone());
+    let settings = AnalysisSettings::paper_default();
+    let fresh = explore_subsets(&RobustnessSession::from_programs(&schema, &pool), settings);
+    let mut reference: Option<(usize, usize)> = None;
+    for strategy in [
+        SweepStrategy::Streamed,
+        SweepStrategy::Materialized,
+        SweepStrategy::Sharded,
+    ] {
+        for kernel in [SweepKernel::BitSliced, SweepKernel::Scalar] {
+            let options = ExploreOptions {
+                strategy,
+                kernel: Some(kernel),
+                incremental: true,
+                ..ExploreOptions::default()
+            };
+            let mut session = RobustnessSession::from_programs(&schema, &pool[..9]);
+            explore_subsets_with(&session, settings, options);
+            session.add_program(pool[9].clone());
+            let inc = explore_subsets_with(&session, settings, options);
+            assert_eq!(inc.robust, fresh.robust, "{strategy:?}/{kernel:?}");
+            assert_eq!(inc.maximal, fresh.maximal);
+            assert_eq!(inc.reused, (1 << 9) - 1);
+            assert_eq!(inc.cycle_tests + inc.pruned, 1 << 9);
+            assert_eq!(
+                *reference.get_or_insert((inc.cycle_tests, inc.pruned)),
+                (inc.cycle_tests, inc.pruned),
+                "{strategy:?}/{kernel:?}"
+            );
+        }
+    }
 }

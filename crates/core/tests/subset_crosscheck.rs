@@ -2,7 +2,7 @@
 //! paths.
 //!
 //! [`explore_subsets`] answers every subset on an induced view of the session's cached summary
-//! graph, skips cycle tests via downward-closure pruning (Proposition 5.2), and *streams* each
+//! graph, skips cycle tests via closure pruning (Proposition 5.2 in both directions), and *streams* each
 //! popcount level as lazily split rank ranges across the `mvrc-par` pool;
 //! [`SweepStrategy::Materialized`] retains the level-materializing traversal;
 //! [`explore_subsets_with`] with pruning disabled tests every mask on the shared graph;
@@ -16,50 +16,25 @@
 //! of the streamed traversal.
 
 use mvrc_benchmarks::{auction, smallbank, synthetic, tpcc, ycsb_t, SyntheticConfig, YcsbtConfig};
+use mvrc_btp::sql::parse_workload_file;
+use mvrc_btp::Workload;
 use mvrc_robustness::{
     explore_subsets, explore_subsets_naive, explore_subsets_with, AnalysisSettings, CycleCondition,
-    ExploreOptions, Parallelism, RobustnessSession, SummaryGraph, SweepKernel, SweepStrategy,
+    ExploreOptions, Parallelism, RankRangeSweep, RobustnessSession, ShardCounters, SummaryGraph,
+    SweepKernel, SweepStrategy,
 };
 use proptest::prelude::*;
 
-/// Asserts that the streamed-pruned, materialized-pruned, sharded-pruned, exhaustive-shared
-/// and naive explorations agree on a workload under one settings combination.
+/// Asserts that the closure-pruned sweep under every strategy × kernel, the exhaustive shared
+/// sweep and the naive reconstruction agree on a workload under one settings combination, and
+/// that replaying the level order from the final verdicts reproduces the pruned counters.
 fn assert_agree(session: &RobustnessSession, settings: AnalysisSettings) {
     let pruned = explore_subsets(session, settings);
-    let materialized = explore_subsets_with(
-        session,
-        settings,
-        ExploreOptions {
-            strategy: SweepStrategy::Materialized,
-            ..ExploreOptions::default()
-        },
-    );
-    let sharded = explore_subsets_with(
-        session,
-        settings,
-        ExploreOptions {
-            strategy: SweepStrategy::Sharded,
-            ..ExploreOptions::default()
-        },
-    );
-    let exhaustive = explore_subsets_with(
-        session,
-        settings,
-        ExploreOptions {
-            closure_pruning: false,
-            ..ExploreOptions::default()
-        },
-    );
     let naive = explore_subsets_naive(session, settings);
     assert_eq!(
         pruned.robust, naive.robust,
         "robust families differ (pruned vs naive) under {settings} for programs {:?}",
         pruned.programs
-    );
-    assert_eq!(
-        exhaustive.robust, naive.robust,
-        "robust families differ (exhaustive vs naive) under {settings} for programs {:?}",
-        exhaustive.programs
     );
     assert_eq!(
         pruned.maximal, naive.maximal,
@@ -70,72 +45,78 @@ fn assert_agree(session: &RobustnessSession, settings: AnalysisSettings) {
         pruned.cycle_tests + pruned.pruned == naive.cycle_tests,
         "every subset must be either tested or pruned"
     );
-    // The streamed default and the level-materializing oracle must be indistinguishable in
-    // everything but their buffering behaviour.
-    assert_eq!(
-        pruned.robust, materialized.robust,
-        "robust families differ (streamed vs materialized) under {settings} for programs {:?}",
-        pruned.programs
-    );
-    assert_eq!(pruned.maximal, materialized.maximal);
-    assert_eq!(pruned.cycle_tests, materialized.cycle_tests);
-    assert_eq!(pruned.pruned, materialized.pruned);
     assert_eq!(
         pruned.masks_buffered, 0,
         "the streamed traversal must not materialize level masks"
     );
+    // Every strategy × kernel, with and without Proposition 5.2 pruning, must be
+    // indistinguishable from the streamed bit-sliced default in everything but speed and
+    // buffering: same verdicts, same counters. The materializing oracle buffers every
+    // non-empty mask exactly once; the streamed and sharded (`ShardSpec` plan, the in-process
+    // twin of the `mvrc shard` protocol) traversals buffer none.
+    for strategy in [
+        SweepStrategy::Streamed,
+        SweepStrategy::Materialized,
+        SweepStrategy::Sharded,
+    ] {
+        for kernel in [SweepKernel::BitSliced, SweepKernel::Scalar] {
+            let run = |closure_pruning| {
+                explore_subsets_with(
+                    session,
+                    settings,
+                    ExploreOptions {
+                        closure_pruning,
+                        strategy,
+                        kernel: Some(kernel),
+                        ..ExploreOptions::default()
+                    },
+                )
+            };
+            let buffered = if strategy == SweepStrategy::Materialized {
+                naive.cycle_tests
+            } else {
+                0
+            };
+            let with_pruning = run(true);
+            assert_eq!(
+                with_pruning.robust, naive.robust,
+                "robust families differ ({strategy:?}/{kernel:?} vs naive) under {settings} for programs {:?}",
+                pruned.programs
+            );
+            assert_eq!(with_pruning.maximal, pruned.maximal);
+            assert_eq!(
+                (with_pruning.cycle_tests, with_pruning.pruned),
+                (pruned.cycle_tests, pruned.pruned),
+                "counters differ under {strategy:?}/{kernel:?} / {settings}"
+            );
+            assert_eq!(with_pruning.masks_buffered, buffered);
+            let exhaustive = run(false);
+            assert_eq!(
+                exhaustive.robust, naive.robust,
+                "robust families differ (exhaustive {strategy:?}/{kernel:?} vs naive) under {settings}"
+            );
+            assert_eq!(exhaustive.maximal, naive.maximal);
+            assert_eq!(exhaustive.cycle_tests, naive.cycle_tests);
+            assert_eq!(exhaustive.pruned, 0);
+        }
+    }
+    // The merge of a shard run reports the counters replayed from the final verdict bits;
+    // they must equal the in-process sweep's.
+    let replay = RankRangeSweep::new(session, settings, true);
+    let mut words = vec![0u64; replay.word_count()];
+    for subset in &pruned.robust {
+        let mask = subset.iter().fold(0usize, |m, &i| m | 1 << i);
+        words[mask / 64] |= 1 << (mask % 64);
+    }
+    replay.or_verdict_words(&words);
     assert_eq!(
-        materialized.masks_buffered, naive.cycle_tests,
-        "the materializing oracle buffers every non-empty mask exactly once"
-    );
-    // The eagerly planned `ShardSpec` traversal — the in-process twin of the `mvrc shard`
-    // process protocol — is indistinguishable from the streamed default.
-    assert_eq!(
-        pruned.robust, sharded.robust,
-        "robust families differ (streamed vs sharded) under {settings} for programs {:?}",
-        pruned.programs
-    );
-    assert_eq!(pruned.maximal, sharded.maximal);
-    assert_eq!(pruned.cycle_tests, sharded.cycle_tests);
-    assert_eq!(pruned.pruned, sharded.pruned);
-    assert_eq!(
-        sharded.masks_buffered, 0,
-        "the sharded traversal materializes shard specs, never level masks"
-    );
-    // The bit-sliced kernel is the default, so every run above already exercised it against
-    // the naive oracle; pin the scalar kernel explicitly and require agreement on every
-    // verdict *and* every counter — the two kernels must be indistinguishable in everything
-    // but speed, with and without Proposition 5.2 pruning.
-    let scalar = explore_subsets_with(
-        session,
-        settings,
-        ExploreOptions {
-            kernel: Some(SweepKernel::Scalar),
-            ..ExploreOptions::default()
+        replay.counters_as_fresh(),
+        ShardCounters {
+            cycle_tests: pruned.cycle_tests,
+            pruned: pruned.pruned,
         },
+        "replayed counters differ under {settings}"
     );
-    assert_eq!(
-        pruned.robust, scalar.robust,
-        "robust families differ (bit-sliced vs scalar) under {settings} for programs {:?}",
-        pruned.programs
-    );
-    assert_eq!(pruned.maximal, scalar.maximal);
-    assert_eq!(pruned.cycle_tests, scalar.cycle_tests);
-    assert_eq!(pruned.pruned, scalar.pruned);
-    let scalar_exhaustive = explore_subsets_with(
-        session,
-        settings,
-        ExploreOptions {
-            closure_pruning: false,
-            kernel: Some(SweepKernel::Scalar),
-            ..ExploreOptions::default()
-        },
-    );
-    assert_eq!(
-        exhaustive.robust, scalar_exhaustive.robust,
-        "exhaustive robust families differ (bit-sliced vs scalar) under {settings}"
-    );
-    assert_eq!(exhaustive.cycle_tests, scalar_exhaustive.cycle_tests);
 }
 
 fn synthetic_config_strategy() -> impl Strategy<Value = SyntheticConfig> {
@@ -224,7 +205,12 @@ fn parallel_enumeration_agrees_on_larger_workloads() {
 
 #[test]
 fn paper_benchmarks_agree_across_the_evaluation_grid() {
-    for workload in [smallbank(), tpcc(), auction()] {
+    for workload in [
+        smallbank(),
+        tpcc(),
+        auction(),
+        ycsb_t(YcsbtConfig::default()),
+    ] {
         let session = RobustnessSession::new(workload);
         for condition in [CycleCondition::TypeII, CycleCondition::TypeI] {
             for settings in AnalysisSettings::evaluation_grid(condition) {
@@ -406,4 +392,83 @@ fn session_constructs_exactly_one_graph_per_shape_combination() {
     explore_subsets_naive(&session, AnalysisSettings::paper_default());
     let after = SummaryGraph::constructions_on_current_thread();
     assert_eq!(after - before, subsets_per_run as u64);
+}
+
+#[test]
+fn larger_synthetic_workloads_agree_with_exhaustive_and_naive() {
+    // 8–12 programs: levels span several verdict words and the two-ended order switches ends
+    // mid-sweep, so both inheritance directions and the word-parallel predicate's in-word and
+    // cross-word shifts are exercised against the exhaustive and naive oracles.
+    for (programs, seed) in [(8usize, 11u64), (10, 0xC0FFEE), (12, 5)] {
+        let workload = synthetic(SyntheticConfig {
+            programs,
+            statements_per_program: 2,
+            seed,
+            ..SyntheticConfig::default()
+        });
+        let session = RobustnessSession::new(workload);
+        assert_agree(&session, AnalysisSettings::paper_default());
+    }
+}
+
+/// A workload of `n` programs over one table, each program the given SQL body.
+fn sql_family(n: usize, body: &str) -> RobustnessSession {
+    let mut text = String::from("SCHEMA Family;\nTABLE Counter (Id, Value, PRIMARY KEY (Id));\n");
+    for i in 0..n {
+        text.push_str(&format!("PROGRAM P{i}(:I, :V) {{\n{body}\n}}\n"));
+    }
+    let (schema, programs) = parse_workload_file(&text).unwrap();
+    RobustnessSession::new(Workload::new("Family", schema, programs, &[]))
+}
+
+#[test]
+fn extreme_workloads_from_sql_decide_in_linear_cycle_tests() {
+    let n = 10;
+    let total = (1usize << n) - 1;
+    // Read-only: every subset is robust. The top level's single test decides the full set,
+    // and every lower level inherits robustness from the level above.
+    let readers = sql_family(n, "SELECT Value FROM Counter WHERE Id = :I;");
+    let read_only = explore_subsets(&readers, AnalysisSettings::paper_default());
+    assert_eq!(read_only.robust.len(), total);
+    assert!(read_only.cycle_tests <= n + 1, "{}", read_only.cycle_tests);
+    assert_eq!(read_only.cycle_tests + read_only.pruned, total);
+    // Lost updates: every program alone is non-robust, so no subset is robust. After the top
+    // level and its n-program neighbour, the n singletons are tested and every level above
+    // them inherits non-robustness.
+    let writers = sql_family(
+        n,
+        "SELECT Value FROM Counter WHERE Id = :I;\nUPDATE Counter SET Value = :V WHERE Id = :I;",
+    );
+    let lost_updates = explore_subsets(&writers, AnalysisSettings::paper_default());
+    assert!(lost_updates.robust.is_empty());
+    assert!(
+        lost_updates.cycle_tests <= 2 * n + 1,
+        "{}",
+        lost_updates.cycle_tests
+    );
+    assert_eq!(lost_updates.cycle_tests + lost_updates.pruned, total);
+    for session in [&readers, &writers] {
+        assert_agree(session, AnalysisSettings::paper_default());
+    }
+}
+
+#[test]
+fn two_ended_counts_are_pinned_on_the_paper_benchmarks() {
+    // (benchmark, cycle tests, pruned) under the paper's default settings. A top-down-only
+    // sweep ran 24/7 on SmallBank and TPC-C, 49/14 on YCSB-T and 1/2 on Auction.
+    let settings = AnalysisSettings::paper_default();
+    for (workload, cycle_tests, pruned) in [
+        (smallbank(), 19, 12),
+        (tpcc(), 18, 13),
+        (ycsb_t(YcsbtConfig::default()), 24, 39),
+        (auction(), 1, 2),
+    ] {
+        let name = workload.name.clone();
+        let exploration = explore_subsets(&RobustnessSession::new(workload), settings);
+        assert_eq!(
+            (exploration.cycle_tests, exploration.pruned),
+            (cycle_tests, pruned),
+            "{name}"
+        );
+    }
 }

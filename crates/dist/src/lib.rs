@@ -21,7 +21,8 @@
 //!   [`ShardSpec`](mvrc_robustness::ShardSpec) chunks, worker processes sweep their shards
 //!   and synchronize per level through atomically published verdict-bitset files, and a merge
 //!   step reproduces the exact single-process [`explore_subsets`](mvrc_robustness::explore_subsets)
-//!   result — verdicts *and* `cycle_tests`/`pruned` accounting, summed across shards.
+//!   result — verdicts *and* `cycle_tests`/`pruned` accounting, replayed from the merged
+//!   verdicts.
 //!
 //! The `mvrc` CLI exposes the protocol as `mvrc shard plan|work|merge`; in-process, the same
 //! plan shape drives [`SweepStrategy::Sharded`](mvrc_robustness::SweepStrategy), which the

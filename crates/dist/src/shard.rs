@@ -11,14 +11,16 @@
 //!    workload fingerprint), then walks the plan's levels. Per level it sweeps its own shards
 //!    through [`RankRangeSweep::run_shard`], writes the *new* verdict bits plus its
 //!    [`ShardCounters`] into a per-`(level, worker)` verdict-bitset file, and then blocks at
-//!    the **level barrier**: it polls for every peer's verdict file for the same level and
-//!    ORs the peers' bits into its sweep before descending. Because a mask's Proposition 5.2
-//!    pruning decision reads only the (by then fully merged) verdicts of the level above,
-//!    every worker makes exactly the decision the single-process sweep would — verdicts *and*
-//!    counters are reproduced exactly, just summed across shards.
-//! 3. **Merge** ([`merge_verdicts`]): ORs every verdict file into a fresh sweep and sums the
-//!    per-file counters, yielding a [`SubsetExploration`] identical to the single-process
-//!    [`mvrc_robustness::explore_subsets`] result.
+//!    the **level barrier**: it polls for every peer's verdict file for the same level, ORs
+//!    the peers' bits into its sweep and marks the level complete before descending. Workers
+//!    always descend: a mask's Proposition 5.2 pruning decision reads only the (by then fully
+//!    merged) verdicts of the level above, so every worker's verdicts are exact. Their
+//!    counters follow the descending order, not the single-process sweep's two-ended one.
+//! 3. **Merge** ([`merge_verdicts`]): ORs every verdict file into a fresh sweep and replays
+//!    the single-process level order on the merged bits
+//!    ([`RankRangeSweep::counters_as_fresh`]) for the counters, yielding a
+//!    [`SubsetExploration`] identical to the single-process
+//!    [`mvrc_robustness::explore_subsets`] result, counters included.
 //!
 //! Verdict files are written atomically (temp file + rename) and carry a *run fingerprint*
 //! binding them to the snapshot, the analysis settings and the pruning switch, so artifacts
@@ -517,7 +519,7 @@ fn prepare_resume_seed(
         ));
     }
     let word_count = CachedSweep::word_count_for(prior_plan.programs);
-    let (mut robust, _counters) = read_all_verdicts(prior_dir, &prior_plan, word_count)?;
+    let mut robust = read_all_verdicts(prior_dir, &prior_plan, word_count)?;
     if let Some(info) = &prior_plan.resume {
         let prior_seed = read_seed(prior_dir, &prior_plan, info, word_count)?;
         for (slot, word) in robust.iter_mut().zip(&prior_seed.seed.robust) {
@@ -953,16 +955,15 @@ fn read_verdicts(
     Ok(file)
 }
 
-/// Merges every per-`(level, worker)` verdict file of a plan into one bitset (ORed words) and
-/// the summed counters, re-validating each file's run fingerprint, level and worker. Fails on
-/// any missing or mismatched file.
+/// Merges every per-`(level, worker)` verdict file of a plan into one bitset (ORed words),
+/// re-validating each file's run fingerprint, level and worker. Fails on any missing or
+/// mismatched file.
 fn read_all_verdicts(
     dir: &Path,
     plan: &ShardPlan,
     word_count: usize,
-) -> Result<(Vec<u64>, ShardCounters), ShardError> {
+) -> Result<Vec<u64>, ShardError> {
     let mut words = vec![0u64; word_count];
-    let mut totals = ShardCounters::default();
     for level_plan in &plan.levels {
         for worker in 0..plan.workers {
             let path = verdict_path(dir, level_plan.level, worker);
@@ -977,10 +978,9 @@ fn read_all_verdicts(
             for (slot, word) in words.iter_mut().zip(&file.words) {
                 *slot |= word;
             }
-            totals = totals.merged(file.counters);
         }
     }
-    Ok((words, totals))
+    Ok(words)
 }
 
 // ---------------------------------------------------------------------------
@@ -1214,7 +1214,6 @@ pub fn run_worker(
             validate_shards_cover_runs(level_plan, &sweep.undecided_runs(level_plan.level))?;
         }
     }
-    let sweep = sweep;
 
     let mut totals = ShardCounters::default();
     let mut shards_run = 0usize;
@@ -1243,8 +1242,8 @@ pub fn run_worker(
         )?;
         totals = totals.merged(counters);
 
-        // Level barrier: fold in every peer's verdicts for this level before descending, so
-        // the next level's pruning sees exactly the fully merged verdict set.
+        // Level barrier: fold in every peer's verdicts for this level and mark it complete
+        // before descending, so the next level's pruning sees exactly the fully merged set.
         for peer in 0..plan.workers {
             if peer == worker {
                 continue;
@@ -1265,6 +1264,7 @@ pub fn run_worker(
             }
             sweep.or_verdict_words(&peer_file.words);
         }
+        sweep.mark_level_complete(level_plan.level);
     }
     Ok(WorkerReport {
         worker,
@@ -1282,8 +1282,8 @@ pub struct MergeReport {
     /// The workload's `(program, abbreviation)` pairs, for paper-style rendering.
     pub abbreviations: Vec<(String, String)>,
     /// The merged exploration — identical to the single-process
-    /// [`mvrc_robustness::explore_subsets`] result, with `cycle_tests`/`pruned` summed across
-    /// every shard.
+    /// [`mvrc_robustness::explore_subsets`] result, with `cycle_tests`/`pruned` replayed from
+    /// the merged verdicts ([`RankRangeSweep::counters_as_fresh`]).
     pub exploration: SubsetExploration,
 }
 
@@ -1302,11 +1302,12 @@ impl MergeReport {
 /// Merges every verdict file of a completed run into the final [`SubsetExploration`]. Fails
 /// (without waiting) when a verdict file is missing — run every `shard work` first.
 ///
-/// For a **resumed** run the seed's verdicts are folded in first, and the reported
-/// `cycle_tests`/`pruned` counters are the *as-fresh* accounting recomputed from the final
-/// verdict bits ([`RankRangeSweep::counters_as_fresh`]) — so the merged JSON is byte-identical
-/// to a fresh single-process `mvrc subsets --json` over the edited workload, even though the
-/// resumed run itself ran only the undecided masks' cycle tests.
+/// For a **resumed** run the seed's verdicts are folded in first. The reported
+/// `cycle_tests`/`pruned` counters are always the *as-fresh* accounting recomputed from the
+/// final verdict bits ([`RankRangeSweep::counters_as_fresh`]), so the merged JSON is
+/// byte-identical to a fresh single-process `mvrc subsets --json`: the workers descend level
+/// by level (and a resumed run tests only the undecided masks), while the single-process sweep
+/// takes the two-ended level order.
 pub fn merge_verdicts(dir: &Path) -> Result<MergeReport, ShardError> {
     let plan = read_plan(dir)?;
     let session = open_snapshot_expecting(snapshot_path(dir), plan.snapshot_fingerprint)?;
@@ -1316,16 +1317,11 @@ pub fn merge_verdicts(dir: &Path) -> Result<MergeReport, ShardError> {
         let seed = read_seed(dir, &plan, info, sweep.word_count())?;
         sweep.apply_seed(&seed.seed);
     }
-    let (words, totals) = read_all_verdicts(dir, &plan, sweep.word_count())?;
+    let words = read_all_verdicts(dir, &plan, sweep.word_count())?;
     sweep.or_verdict_words(&words);
-    let counters = if plan.resume.is_some() {
-        sweep.counters_as_fresh()
-    } else {
-        totals
-    };
     Ok(MergeReport {
         workload: plan.workload,
         abbreviations: session.workload().abbreviations.clone(),
-        exploration: sweep.exploration(counters, 0, 0),
+        exploration: sweep.exploration(sweep.counters_as_fresh(), 0, 0),
     })
 }
